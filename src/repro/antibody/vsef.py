@@ -260,12 +260,12 @@ def _install_heap_bounds(vsef: VSEF, process, installed: InstalledVSEF):
     native_addr = resolve_loc(CodeLoc("lib", native), process)
 
     def _cstrlen(addr: int, cap: int = 1 << 20) -> int:
-        length = 0
-        while length < cap:
-            if process.memory.read(addr + length, 1) == b"\x00":
-                return length
-            length += 1
-        return length
+        text = process.memory.scan(addr, cap, 0)
+        if text[-1:] == b"\x00":
+            return len(text) - 1
+        if len(text) < cap:
+            process.memory.raise_fault(addr + len(text))
+        return cap
 
     def check(cpu, insn):
         if not _caller_matches(caller, process, cpu):

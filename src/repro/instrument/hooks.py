@@ -178,6 +178,12 @@ class HookManager:
         self.active = any(self._listeners[event] for event in _EVENTS)
         self.sink = self if self.active else NULL_SINK
 
+    def listeners(self, event: str) -> list:
+        """The callbacks attached to ``event``, for an emitter that fires
+        many events in a row (a native moving a string byte by byte)
+        and binds them once instead of dispatching through the sink."""
+        return self._listeners[event]
+
     def overhead_factor(self) -> float:
         """Combined virtual-time slowdown of the attached tools."""
         factor = 1.0
