@@ -164,57 +164,69 @@ class TaintTracker(Tool):
     # -- instruction semantics --------------------------------------------------------
 
     def on_ins(self, pc, insn, cpu):
-        op = insn.op
-        regs = self.shadow_reg
         self._pending_store = None
         self._pending_addr = None
+        handler = _INS_HANDLERS.get(insn.op)
+        if handler is not None:
+            handler(self, pc, insn, cpu)
 
-        if op == Op.MOVRR:
-            rd, rs = insn.operands
-            regs[rd] = regs[rs].with_writer(pc) if regs[rs] else None
-        elif op == Op.MOVRI:
-            regs[insn.operands[0]] = None
-        elif op in ALU_OPS:
-            rd = insn.operands[0]
-            if insn.signature == "rr":
-                merged = _union([regs[rd], regs[insn.operands[1]]])
-            else:
-                merged = regs[rd]
-            regs[rd] = merged.with_writer(pc) if merged else None
-        elif op in (Op.LDW, Op.LDB):
-            rd, base, disp = insn.operands
-            addr = to_unsigned(cpu.regs[base] + to_signed(disp))
-            size = 4 if op == Op.LDW else 1
-            if regs[base] is not None:
-                self.pointer_taint_events.append((pc, addr))
-            merged = _union([self.shadow_mem.get(addr + i)
-                             for i in range(size)])
-            regs[rd] = merged.with_writer(pc) if merged else None
-            if merged:
-                self.recent_tainted.append((pc, merged))
-        elif op in (Op.STW, Op.STB):
-            base, disp, rs = insn.operands
-            addr = to_unsigned(cpu.regs[base] + to_signed(disp))
-            self._pending_store = regs[rs]
-            self._pending_addr = addr
-        elif op == Op.PUSHR:
-            rs = insn.operands[0]
-            self._pending_store = regs[rs]
-            self._pending_addr = to_unsigned(cpu.regs[SP] - 4)
-        elif op == Op.POPR:
-            rd = insn.operands[0]
-            sp = cpu.regs[SP]
-            merged = _union([self.shadow_mem.get(sp + i) for i in range(4)])
-            regs[rd] = merged.with_writer(pc) if merged else None
-        elif op in (Op.JMPR, Op.CALLR):
-            cell = regs[insn.operands[0]]
-            if cell is not None:
-                self._violate("tainted indirect control transfer", pc, cell)
-        elif op == Op.RET:
-            sp = cpu.regs[SP]
-            cell = _union([self.shadow_mem.get(sp + i) for i in range(4)])
-            if cell is not None:
-                self._violate("tainted return address", pc, cell)
+    def _ins_movrr(self, pc, insn, cpu):
+        regs = self.shadow_reg
+        rd, rs = insn.operands
+        regs[rd] = regs[rs].with_writer(pc) if regs[rs] else None
+
+    def _ins_movri(self, pc, insn, cpu):
+        self.shadow_reg[insn.operands[0]] = None
+
+    def _ins_alu(self, pc, insn, cpu):
+        regs = self.shadow_reg
+        rd = insn.operands[0]
+        if insn.signature == "rr":
+            merged = _union([regs[rd], regs[insn.operands[1]]])
+        else:
+            merged = regs[rd]
+        regs[rd] = merged.with_writer(pc) if merged else None
+
+    def _ins_load(self, pc, insn, cpu):
+        regs = self.shadow_reg
+        rd, base, disp = insn.operands
+        addr = to_unsigned(cpu.regs[base] + to_signed(disp))
+        size = 4 if insn.op == _LDW else 1
+        if regs[base] is not None:
+            self.pointer_taint_events.append((pc, addr))
+        merged = _union([self.shadow_mem.get(addr + i)
+                         for i in range(size)])
+        regs[rd] = merged.with_writer(pc) if merged else None
+        if merged:
+            self.recent_tainted.append((pc, merged))
+
+    def _ins_store(self, pc, insn, cpu):
+        base, disp, rs = insn.operands
+        addr = to_unsigned(cpu.regs[base] + to_signed(disp))
+        self._pending_store = self.shadow_reg[rs]
+        self._pending_addr = addr
+
+    def _ins_pushr(self, pc, insn, cpu):
+        rs = insn.operands[0]
+        self._pending_store = self.shadow_reg[rs]
+        self._pending_addr = to_unsigned(cpu.regs[SP] - 4)
+
+    def _ins_popr(self, pc, insn, cpu):
+        rd = insn.operands[0]
+        sp = cpu.regs[SP]
+        merged = _union([self.shadow_mem.get(sp + i) for i in range(4)])
+        self.shadow_reg[rd] = merged.with_writer(pc) if merged else None
+
+    def _ins_indirect(self, pc, insn, cpu):
+        cell = self.shadow_reg[insn.operands[0]]
+        if cell is not None:
+            self._violate("tainted indirect control transfer", pc, cell)
+
+    def _ins_ret(self, pc, insn, cpu):
+        sp = cpu.regs[SP]
+        cell = _union([self.shadow_mem.get(sp + i) for i in range(4)])
+        if cell is not None:
+            self._violate("tainted return address", pc, cell)
 
     def _violate(self, kind: str, pc: int, cell: TaintCell):
         violation = TaintViolation(kind, pc, cell)
@@ -254,3 +266,24 @@ class TaintTracker(Tool):
                            sink_pc=sink,
                            pointer_taint_events=list(
                                self.pointer_taint_events))
+
+
+#: ``on_ins`` dispatches on the opcode through this table rather than an
+#: if-chain over ``Op`` members: reading an enum member off its class is
+#: a slow attribute lookup, and the chain paid up to a dozen of them on
+#: every instrumented instruction.  Opcodes absent here move no taint.
+_LDW = Op.LDW
+_INS_HANDLERS = {
+    Op.MOVRR: TaintTracker._ins_movrr,
+    Op.MOVRI: TaintTracker._ins_movri,
+    **{op: TaintTracker._ins_alu for op in ALU_OPS},
+    Op.LDW: TaintTracker._ins_load,
+    Op.LDB: TaintTracker._ins_load,
+    Op.STW: TaintTracker._ins_store,
+    Op.STB: TaintTracker._ins_store,
+    Op.PUSHR: TaintTracker._ins_pushr,
+    Op.POPR: TaintTracker._ins_popr,
+    Op.JMPR: TaintTracker._ins_indirect,
+    Op.CALLR: TaintTracker._ins_indirect,
+    Op.RET: TaintTracker._ins_ret,
+}
