@@ -5,8 +5,8 @@ the paper cares about:
 
 - **plain** — no tool, no VSEF: the batched loop over predecoded
   executable cells (the common case whose cost Sweeper promises is ~0).
-- **vsef** — one armed vulnerability-specific filter: the checked loop
-  that adds a per-PC probe but still runs cells.
+- **vsef** — one armed vulnerability-specific filter: the fused loop,
+  with only the probed pc taking the general path.
 - **instrumented** — a lightweight analysis tool attached (ins/mem/reg/
   branch events): the fully instrumented step() path.
 - **stepped** — the plain deployment driven one step() at a time, i.e.
@@ -130,7 +130,7 @@ def _arm_vsef(process):
         if cpu.regs[8] < 0x1000:      # never true: SP stays in the stack
             raise AssertionError("benign VSEF fired")
 
-    process.cpu.pre_checks[addr] = [check]
+    process.cpu.arm([addr], check)
 
 
 def _time_run(source_template: str, iters: int, mode: str) -> tuple:

@@ -34,6 +34,7 @@ most.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import EncodingError
@@ -292,6 +293,22 @@ def cfg_from_stream(stream: dict[int, Insn]) -> CFG:
 # ---------------------------------------------------------------------------
 # Front end: assembled images (offset space, relocation-aware)
 # ---------------------------------------------------------------------------
+
+#: ``id(image)`` -> its recovered CFG, dropped when the image dies.
+_IMAGE_CFGS: dict[int, CFG] = {}
+
+
+def image_cfg(image) -> CFG:
+    """:func:`recover_image_cfg` of ``image``, recovered once per image
+    object (an assembled image is not modified afterwards).  The graph
+    is shared: treat it as read-only."""
+    key = id(image)
+    cfg = _IMAGE_CFGS.get(key)
+    if cfg is None:
+        cfg = _IMAGE_CFGS[key] = recover_image_cfg(image)
+        weakref.finalize(image, _IMAGE_CFGS.pop, key, None)
+    return cfg
+
 
 def recover_image_cfg(image) -> CFG:
     """Recursive-descent CFG recovery over ``image`` in offset space.

@@ -26,11 +26,20 @@ installing process's own layout.  This is what makes the paper's
 "distribute VSEFs, apply before verifying — at worst they waste cycles"
 argument hold: an unfounded check cannot introduce new behaviour.
 
-**Enforcement.** Checks are registered in the CPU's ``pre_checks`` table
-(one dict lookup on the fast path) and, for ``ret_guard``, as call/ret
-hooks.  A firing check raises :class:`~repro.errors.AttackDetected`
-*before* state is corrupted, which is what lets the runtime drop the
-request without a rollback.
+**Enforcement.** Every kind is a set of pc-scoped probes
+(:meth:`~repro.machine.cpu.CPU.arm`): a probed pc leaves the fused and
+plain dispatch tables and runs through the CPU's general path, so the
+rest of the program keeps its supercells and cells.  ``taint_subset``
+arms its code-space propagation pcs and sinks as ``ins``-stage probes
+and seeds / propagates through the ``syscall`` and ``mem_copy`` boundary
+events.  ``ret_guard`` watches calls and returns
+(:meth:`~repro.machine.cpu.CPU.watch`) and routes the cached sites it
+can act on — every ``RET``, every ``CALLR`` and every ``CALLI`` to the
+guarded entry, from the image's recovered CFG — to the general path,
+which also carries all code in writable memory and the native return
+path.  No kind attaches a hook tool.  A firing check raises
+:class:`~repro.errors.AttackDetected` *before* state is corrupted, which
+is what lets the runtime drop the request without a rollback.
 """
 
 from __future__ import annotations
@@ -39,10 +48,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import AttackDetected, ReproError
-from repro.instrument.hooks import Tool
 from repro.isa.encoding import Insn
 from repro.isa.opcodes import FP, SP, Op, to_signed, to_unsigned
 from repro.machine.allocator import STATUS_FREE
+from repro.machine.cpu import STAGE_CHECK, STAGE_INS
 from repro.machine.natives import NATIVE_OFFSETS
 
 _ids = itertools.count(1)
@@ -158,26 +167,31 @@ class InstalledVSEF:
     def __init__(self, vsef: VSEF, process):
         self.vsef = vsef
         self.process = process
-        self._pre_checks: list[tuple[int, object]] = []
-        self._tool: Tool | None = None
+        #: The filter's own state, for the kinds that keep some (the
+        #: ret guard's side stack, the taint subset's shadow sets).
+        self.state = None
+        self._undo: list = []
 
-    def _add_check(self, addr: int, check):
-        table = self.process.cpu.pre_checks
-        table.setdefault(addr, []).append(check)
-        self._pre_checks.append((addr, check))
+    def arm(self, pcs, check, stage: int = STAGE_CHECK):
+        pcs = tuple(pcs)
+        cpu = self.process.cpu
+        cpu.arm(pcs, check, stage)
+        self._undo.append(lambda: cpu.disarm(pcs, check))
+
+    def watch(self, sites, on_call, on_ret):
+        sites = tuple(sites)
+        cpu = self.process.cpu
+        cpu.watch(sites, on_call, on_ret)
+        self._undo.append(lambda: cpu.unwatch(sites, on_call, on_ret))
+
+    def listen(self, event: str, fn):
+        hooks = self.process.hooks
+        hooks.listen(event, fn)
+        self._undo.append(lambda: hooks.unlisten(event, fn))
 
     def uninstall(self):
-        table = self.process.cpu.pre_checks
-        for addr, check in self._pre_checks:
-            checks = table.get(addr, [])
-            if check in checks:
-                checks.remove(check)
-            if not checks:
-                table.pop(addr, None)
-        self._pre_checks.clear()
-        if self._tool is not None:
-            self.process.hooks.detach(self._tool, self.process)
-            self._tool = None
+        while self._undo:
+            self._undo.pop()()
 
 
 def install_vsef(vsef: VSEF, process) -> InstalledVSEF:
@@ -215,7 +229,7 @@ def _install_null_check(vsef: VSEF, process, installed: InstalledVSEF):
             raise AttackDetected(vsef.vsef_id, addr,
                                  f"NULL pointer in {vsef.params['pc']}")
 
-    installed._add_check(addr, check)
+    installed.arm([addr], check)
 
 
 def _install_double_free(vsef: VSEF, process, installed: InstalledVSEF):
@@ -237,7 +251,7 @@ def _install_double_free(vsef: VSEF, process, installed: InstalledVSEF):
             raise AttackDetected(vsef.vsef_id, free_addr,
                                  "double free blocked")
 
-    installed._add_check(free_addr, check)
+    installed.arm([free_addr], check)
 
 
 _NATIVE_NEED = {
@@ -292,7 +306,7 @@ def _install_heap_bounds(vsef: VSEF, process, installed: InstalledVSEF):
                 f"{native} would overflow heap block by "
                 f"{dst + need - block.end} bytes")
 
-    installed._add_check(native_addr, check)
+    installed.arm([native_addr], check)
 
 
 def _effective_store_addr(cpu, insn: Insn) -> tuple[int, int] | None:
@@ -341,14 +355,12 @@ def _install_store_guard(vsef: VSEF, process, installed: InstalledVSEF):
                 raise AttackDetected(vsef.vsef_id, addr_at,
                                      "store escapes its heap block")
 
-    installed._add_check(addr_at, check)
+    installed.arm([addr_at], check)
 
 
-class _RetGuardTool(Tool):
-    """Side return-address stack for one function (hook-based)."""
-
-    name = "ret-guard"
-    overhead_factor = 1.001
+class _RetGuard:
+    """Side return-address stack for one function, fed by the CPU's
+    control probes."""
 
     def __init__(self, vsef: VSEF, process, entry_addr: int):
         self.vsef = vsef
@@ -374,28 +386,49 @@ class _RetGuardTool(Tool):
                     f"was overwritten ({target:#x} != {saved:#x})")
 
 
+def _ret_guard_sites(process, entry_addr: int) -> list[int]:
+    """The text instructions a ret guard on ``entry_addr`` can act on:
+    every ``RET``, every ``CALLR`` and every ``CALLI`` whose loaded
+    target is the entry, over the image's recovered CFG (which covers
+    every pc executed from read-only text)."""
+    # Deferred: repro.analysis pulls the dynamic pipeline, whose
+    # runtime imports circle back into repro.antibody.
+    from repro.analysis.static.cfg import image_cfg, imm_field_offset
+    base = process.layout.code_base
+    imm = imm_field_offset(Op.CALLI)
+    sites = []
+    for offset, insn in image_cfg(process.image).insns.items():
+        op = insn.op
+        if op is Op.RET or op is Op.CALLR or (
+                op is Op.CALLI
+                and process.memory.read_word(base + offset + imm)
+                == entry_addr):
+            sites.append(base + offset)
+    return sites
+
+
 def _install_ret_guard(vsef: VSEF, process, installed: InstalledVSEF):
     loc: CodeLoc = vsef.params["entry"]
     entry_addr = resolve_loc(loc, process)
-    tool = _RetGuardTool(vsef, process, entry_addr)
-    process.hooks.attach(tool, process)
-    installed._tool = tool
+    guard = _RetGuard(vsef, process, entry_addr)
+    installed.watch(_ret_guard_sites(process, entry_addr), guard.on_call,
+                    guard.on_ret)
+    installed.state = guard
 
 
-class _TaintSubsetTool(Tool):
+class _TaintSubset:
     """Taint tracking restricted to the propagation set + sink [38].
 
-    Only the listed instructions update shadow state, so per-instruction
-    cost is one set lookup — "ordinary dynamic taint analysis
-    instrumentation applied for those instructions only" (§3.3).
+    Only the listed instructions update shadow state: they are armed as
+    ``ins``-stage probes, so the rest of the program runs untouched —
+    "ordinary dynamic taint analysis instrumentation applied for those
+    instructions only" (§3.3).  Received bytes are seeded, and natives'
+    copies propagated, from the ``syscall`` and ``mem_copy`` boundary
+    events.
     """
 
-    name = "taint-subset"
-    overhead_factor = 1.02
-
-    def __init__(self, vsef: VSEF, process, pcs: set[int], sinks: set[int]):
+    def __init__(self, vsef: VSEF, pcs: set[int], sinks: set[int]):
         self.vsef = vsef
-        self.process = process
         self.pcs = pcs
         self.sinks = sinks
         self.shadow_mem: set[int] = set()
@@ -415,10 +448,9 @@ class _TaintSubsetTool(Tool):
             else:
                 self.shadow_mem.discard(dst + offset)
 
-    def on_ins(self, pc, insn, cpu):
-        interesting = pc in self.pcs or pc in self.sinks
-        if not interesting:
-            return
+    def probe(self, cpu, insn):
+        """Propagate through, and check at, the instruction at a
+        propagation pc or sink."""
         op = insn.op
         if op in (Op.LDW, Op.LDB):
             rd, base, disp = insn.operands
@@ -443,6 +475,7 @@ class _TaintSubsetTool(Tool):
                 self.shadow_reg.add(rd)
             else:
                 self.shadow_reg.discard(rd)
+        pc = cpu.pc
         if pc in self.sinks:
             if op in (Op.JMPR, Op.CALLR) and \
                     insn.operands[0] in self.shadow_reg:
@@ -456,11 +489,18 @@ class _TaintSubsetTool(Tool):
 
 
 def _install_taint_subset(vsef: VSEF, process, installed: InstalledVSEF):
-    pcs = {resolve_loc(loc, process) for loc in vsef.params.get("pcs", [])}
-    sinks = {resolve_loc(loc, process) for loc in vsef.params.get("sinks", [])}
-    tool = _TaintSubsetTool(vsef, process, pcs, sinks)
-    process.hooks.attach(tool, process)
-    installed._tool = tool
+    pc_locs = vsef.params.get("pcs", [])
+    sink_locs = vsef.params.get("sinks", [])
+    taint = _TaintSubset(vsef, {resolve_loc(loc, process) for loc in pc_locs},
+                         {resolve_loc(loc, process) for loc in sink_locs})
+    installed.listen("syscall", taint.on_syscall)
+    installed.listen("mem_copy", taint.on_mem_copy)
+    # Natives emit no ``ins`` event, so only text locations are probed;
+    # a library pc only matters to native copy propagation.
+    text = {resolve_loc(loc, process) for loc in [*pc_locs, *sink_locs]
+            if loc.space == "code"}
+    installed.arm(sorted(text), taint.probe, STAGE_INS)
+    installed.state = taint
 
 
 _INSTALLERS = {

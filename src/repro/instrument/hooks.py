@@ -21,6 +21,19 @@ Callback surface (mirroring PIN's instrumentation points):
 All ``pc`` values are absolute guest addresses; for natives they are the
 native's library address, so crash/blame attribution points into "libc"
 exactly as the paper's Table 2 does.
+
+The events fall in two groups:
+
+- **tier events** (``ins``, ``mem_read``, ``mem_write``, ``reg_write``,
+  ``branch``, ``call``, ``ret``) come from every executed instruction.
+  Only the fully instrumented loop emits them for all code, so a
+  listener on any of them sets ``active`` and selects that loop;
+- **boundary events** (``syscall``, ``native``, ``malloc``, ``free``,
+  ``mem_copy``) come only from natives and syscalls, which always run
+  on the general path.  Their listeners keep the sink live without
+  forcing the instrumented loop, so a filter that only needs them (the
+  taint VSEF's receive seeding and copy propagation) costs nothing on
+  the fused and plain tiers.
 """
 
 from __future__ import annotations
@@ -79,8 +92,10 @@ class Tool:
         pass
 
 
-_EVENTS = ("ins", "mem_read", "mem_write", "mem_copy", "call", "ret",
-           "branch", "reg_write", "malloc", "free", "native", "syscall")
+TIER_EVENTS = ("ins", "mem_read", "mem_write", "reg_write", "branch",
+               "call", "ret")
+BOUNDARY_EVENTS = ("syscall", "native", "malloc", "free", "mem_copy")
+_EVENTS = TIER_EVENTS + BOUNDARY_EVENTS
 
 
 class NullSink:
@@ -143,11 +158,16 @@ class HookManager:
     that only hooks a few events stays cheap, and exposes ``sink`` — the
     manager itself while any listener is live, the shared
     :data:`NULL_SINK` otherwise — so emitters need no ``active`` branch.
+    ``active`` is true while any *tier* event has a listener.  Besides
+    tools, bare callbacks can listen to *boundary* events
+    (:meth:`listen`); they run before the tools' callbacks.
     """
 
     def __init__(self):
         self.tools: list[Tool] = []
         self._listeners: dict[str, list] = {name: [] for name in _EVENTS}
+        #: Bare boundary-event callbacks: event -> callbacks.
+        self._bare: dict[str, list] = {name: [] for name in BOUNDARY_EVENTS}
         self.active = False
         #: Where the machine layer sends events: ``self`` when any tool
         #: listens, the shared null object when none does.
@@ -168,15 +188,25 @@ class HookManager:
         for tool in list(self.tools):
             self.detach(tool, process)
 
+    def listen(self, event: str, fn):
+        """Add ``fn`` as a listener on boundary event ``event``."""
+        self._bare[event].append(fn)
+        self._rebuild()
+
+    def unlisten(self, event: str, fn):
+        self._bare[event].remove(fn)
+        self._rebuild()
+
     def _rebuild(self):
         base = Tool
         for event in _EVENTS:
             method = f"on_{event}"
-            self._listeners[event] = [
+            self._listeners[event] = self._bare.get(event, []) + [
                 getattr(tool, method) for tool in self.tools
                 if getattr(type(tool), method) is not getattr(base, method)]
-        self.active = any(self._listeners[event] for event in _EVENTS)
-        self.sink = self if self.active else NULL_SINK
+        self.active = any(self._listeners[event] for event in TIER_EVENTS)
+        live = any(self._listeners[event] for event in _EVENTS)
+        self.sink = self if live else NULL_SINK
 
     def listeners(self, event: str) -> list:
         """The callbacks attached to ``event``, for an emitter that fires

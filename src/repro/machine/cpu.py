@@ -17,17 +17,21 @@ Design notes tied to the paper:
 - **Two-speed execution** — the paper's whole bargain is that the common
   case (no deployed analysis) is nearly free while full analysis may be
   20-1000x.  The CPU therefore has a batched :meth:`run` that selects an
-  inner loop *once* per batch: a **plain** loop over predecoded
-  executable cells (no hook calls, no pre-check probes, no per-step
-  decode), a **checked** loop that adds only the per-PC VSEF probe, or
-  the fully instrumented :meth:`step` loop when any tool is attached.
-  All three produce bit-identical guest-visible state and cycle counts.
+  inner loop *once* per batch: a **fused** loop over supercells and
+  predecoded executable cells, a **plain** per-cell loop (no hook calls,
+  no per-step decode in either), or the fully instrumented loop when a
+  tool listens to per-instruction events.  All three produce
+  bit-identical guest-visible state and cycle counts.
 
 - **VSEF fast path** — deployed vulnerability-specific execution filters
-  register per-PC pre-execution checks in ``pre_checks``.  The common
-  case is a single dict lookup per instruction, and zero per-instruction
-  work when no VSEF is deployed; this is why VSEF overhead is ~1% while
-  full analysis is 20-1000x (§5.3).
+  are *pc-scoped probes*: :meth:`arm` registers a pre-execution check at
+  a handful of pcs, and :meth:`watch` registers call/ret observers plus
+  the sites where they can matter.  A probed pc is taken off both fast
+  dispatch tables and out of every supercell, so the fused and plain
+  loops miss on it and run that one instruction through :meth:`step`,
+  which runs the probes; every other instruction keeps its cell or its
+  trace.  Arming costs nothing per instruction elsewhere, which is why
+  VSEF overhead is ~1% while full analysis is 20-1000x (§5.3).
 
 - **Virtual clock** — one cycle per instruction, plus per-byte costs in
   natives.  ``CPU_HZ`` converts cycles to the virtual seconds used by all
@@ -36,8 +40,10 @@ Design notes tied to the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple
 
 from repro.errors import (FAULT_BADPC, FAULT_DIVZERO, FAULT_ILLEGAL,
                           EncodingError, ProcessExited, VMFault)
@@ -68,6 +74,13 @@ MAX_INSN_LENGTH = max(OP_LENGTHS.values())
 #: code size and how often a step budget smaller than a trace forces the
 #: per-cell tail path.
 FUSION_LIMIT = 32
+
+#: Probe stages, in the order they run at one pc: ordinary VSEF checks,
+#: then probes standing in for an ``ins`` hook (the hook bus fired
+#: ``ins`` after the checks).  Control probes (:meth:`CPU.watch`) fire
+#: later still, from the executed call or return itself.
+STAGE_CHECK = 0
+STAGE_INS = 1
 
 
 class ControlEvent(NamedTuple):
@@ -111,8 +124,20 @@ class CPU:
         #: Every address ever observed as a CALL target; used to tell
         #: function entries apart from local jump labels when symbolizing.
         self.known_call_targets: set[int] = set()
-        #: pc -> list of callables(cpu, insn); the VSEF check table.
-        self.pre_checks: dict[int, list[Callable]] = {}
+        #: pc -> checks ``fn(cpu, insn)`` in stage order: the probe
+        #: table, and the stage of each entry.
+        self._checks: dict[int, tuple[Callable, ...]] = {}
+        self._stages: dict[int, tuple[int, ...]] = {}
+        #: Read-only view of the probe table; change it with :meth:`arm`
+        #: and :meth:`disarm`.
+        self.pre_checks = MappingProxyType(self._checks)
+        #: Control probes (:meth:`watch`): ``fn(pc, target, return_addr)``
+        #: / ``fn(pc, target, sp)`` told of every call / return the
+        #: general path executes, just before the hook bus hears of it.
+        self.call_probes: list[Callable] = []
+        self.ret_probes: list[Callable] = []
+        #: pc -> how many control watchers route it to the general path.
+        self._watched: dict[int, int] = {}
         #: Native dispatch: absolute address -> handler(cpu, pc).
         self.native_entries: dict[int, Callable] = {}
         #: Syscall dispatch, set by the owning Process.
@@ -124,6 +149,8 @@ class CPU:
         self._decode_cache: dict[int, Insn] = {}
         #: Executable-form cells for the same addresses: pc -> closure.
         self._cells: dict[int, Callable] = {}
+        #: The plain loop's dispatch table: ``_cells`` minus probed pcs.
+        self._plain: dict[int, Callable] = {}
         #: Instrumented-form cells, compiled lazily by the analysis-mode
         #: loop (:meth:`_run_instrumented`): pc -> closure replicating
         #: the full ``step()`` event contract with the per-step lookups
@@ -133,9 +160,16 @@ class CPU:
         #: member (pc, insn) tuple).  Members are kept so invalidation
         #: can re-split a partially stale trace.
         self._traces: dict[int, tuple] = {}
+        #: Fusion runs as predecode and invalidation cut them, before
+        #: any probe split: run head -> members.  The live supercells
+        #: are these runs cut at probed pcs (:meth:`_cut`), so disarming
+        #: a probe re-fuses exactly what arming split.
+        self._runs: dict[int, tuple] = {}
+        #: Live supercell head -> head of the run it was cut from.
+        self._run_of: dict[int, int] = {}
         #: The fused loop's dispatch table: pc -> (fn, insn count).
-        #: Every cell appears with count 1; trace heads are overridden
-        #: by their supercell.
+        #: Every unprobed cell appears with count 1; trace heads are
+        #: overridden by their supercell.
         self._hot: dict[int, tuple] = {}
         #: Tier switch: False forces the plain per-cell loop even with
         #: traces built (differential testing, debugging).
@@ -209,8 +243,7 @@ class CPU:
             cell = compile_cell(self, pc, insn)
             if cell is not None:
                 self._cells[pc] = cell
-                if pc not in self._traces:
-                    self._hot[pc] = (cell, 1)
+                self._route(pc)
         self._fuse_stream(stream)
 
     def _fuse_stream(self, stream: dict[int, Insn]):
@@ -292,33 +325,60 @@ class CPU:
                 run.extend(nxt[:FUSION_LIMIT - len(run)])
 
     def _install_traces(self, run: list[tuple[int, Insn]]):
+        """Record ``run`` (in ``FUSION_LIMIT`` pieces) as fusion runs and
+        install their supercells."""
         for base in range(0, len(run), FUSION_LIMIT):
-            items = run[base:base + FUSION_LIMIT]
-            if len(items) < 2:
+            items = tuple(run[base:base + FUSION_LIMIT])
+            if len(items) >= 2:
+                self._runs[items[0][0]] = items
+                self._cut(items[0][0])
+
+    def _cut(self, head: int):
+        """(Re)install the supercells of run ``head``: the run cut at
+        every probed pc, since a probed instruction must run through
+        :meth:`step`.  Supercells previously cut from the run go first;
+        with the run gone, that is all this does.  A piece never
+        displaces another run's supercell at the same head (both are
+        valid traces), except that a run always owns its own head."""
+        for h in [h for h, owner in self._run_of.items() if owner == head]:
+            del self._run_of[h], self._traces[h]
+            self._route(h)
+        chain: list[tuple[int, Insn]] = []
+        for item in self._runs.get(head, ()) + (None,):
+            if item is not None and not self._probed(item[0]):
+                chain.append(item)
                 continue
-            fn = compile_trace(self, items)
-            if fn is None:
-                continue
-            head = items[0][0]
-            last_pc, last_insn = items[-1]
-            self._traces[head] = (fn, len(items),
-                                  last_pc + last_insn.length, tuple(items))
-            self._hot[head] = (fn, len(items))
+            if len(chain) >= 2 and (chain[0][0] == head
+                                    or chain[0][0] not in self._traces):
+                fn = compile_trace(self, chain)
+                if fn is not None:
+                    first = chain[0][0]
+                    last_pc, last_insn = chain[-1]
+                    self._traces[first] = (fn, len(chain),
+                                           last_pc + last_insn.length,
+                                           tuple(chain))
+                    self._hot[first] = (fn, len(chain))
+                    self._run_of[first] = head
+            chain = []
 
     def invalidate_code(self, start: int | None = None,
                         end: int | None = None):
         """Forget predecoded instructions overlapping ``[start, end)``
         (everything when no range is given).  Called when a code region
         is unmapped/remapped or patched, so stale decodings can never
-        execute.  Fused traces overlapping the range are *re-split*: the
-        trace is dropped and its still-valid prefix and suffix runs are
+        execute.  Fusion runs overlapping the range are *re-split*: the
+        run is dropped and its maximal chains of still-valid members are
         re-fused, so no supercell can replay stale bytes while untouched
-        instructions keep their fast path."""
+        instructions keep their fast path.  Armed probes are keyed by pc
+        and survive."""
         if start is None or end is None:
             self._decode_cache.clear()
             self._cells.clear()
+            self._plain.clear()
             self._icells.clear()
             self._traces.clear()
+            self._runs.clear()
+            self._run_of.clear()
             self._hot.clear()
             return
         low = start - MAX_INSN_LENGTH
@@ -326,35 +386,121 @@ class CPU:
         for pc in stale:
             self._decode_cache.pop(pc, None)
             self._cells.pop(pc, None)
+            self._plain.pop(pc, None)
             self._icells.pop(pc, None)
             self._hot.pop(pc, None)
-        for head in [h for h, t in self._traces.items()
+        for head in [h for h, run in self._runs.items()
                      if any(m_pc < end and m_pc + m_insn.length > start
-                            for m_pc, m_insn in t[3])]:
-            members = self._traces.pop(head)[3]
-            self._hot.pop(head, None)
-            cell = self._cells.get(head)
-            if cell is not None:
-                self._hot[head] = (cell, 1)
-            # Re-split into maximal still-valid chains: members whose
-            # cells survived, linked either by address contiguity or by
-            # a jump/call whose immediate target is the next member (a
-            # CFG-extended splice).  For a contiguous trace this is
+                            for m_pc, m_insn in run)]:
+            run = self._runs.pop(head)
+            self._cut(head)
+            # Members of one run are linked in order (by contiguity or
+            # by a CFG-extended splice), so the still-valid chains are
+            # the stretches between dead members: for a contiguous run,
             # exactly the classic prefix + suffix around the patch.
             chain: list[tuple[int, Insn]] = []
-            for m_pc, m_insn in members:
-                alive = m_pc in self._cells
-                prev = chain[-1] if chain else None
-                linked = (prev is None
-                          or prev[0] + prev[1].length == m_pc
-                          or (prev[1].op in (Op.JMPI, Op.CALLI)
-                              and prev[1].operands[0] == m_pc))
-                if alive and linked:
-                    chain.append((m_pc, m_insn))
-                else:
-                    self._install_traces(chain)
-                    chain = [(m_pc, m_insn)] if alive else []
-            self._install_traces(chain)
+            for item in run + (None,):
+                if item is not None and item[0] in self._cells:
+                    chain.append(item)
+                    continue
+                self._install_traces(chain)
+                chain = []
+
+    # -- probes ---------------------------------------------------------------
+
+    def arm(self, pcs: Iterable[int], check: Callable,
+            stage: int = STAGE_CHECK):
+        """Arm ``check(cpu, insn)`` to run before the instruction (or
+        native) at each of ``pcs``, after the checks of the same or an
+        earlier stage already armed there.  Natives see ``insn=None``."""
+        fresh = []
+        for pc in pcs:
+            checks = self._checks.get(pc, ())
+            stages = self._stages.get(pc, ())
+            at = bisect_right(stages, stage)
+            self._checks[pc] = checks[:at] + (check,) + checks[at:]
+            self._stages[pc] = stages[:at] + (stage,) + stages[at:]
+            if not checks:
+                fresh.append(pc)
+        self._reroute(fresh)
+
+    def disarm(self, pcs: Iterable[int], check: Callable):
+        """Remove one arming of ``check`` at each of ``pcs``."""
+        cleared = []
+        for pc in pcs:
+            checks = self._checks.get(pc, ())
+            if check not in checks:
+                continue
+            at = checks.index(check)
+            stages = self._stages[pc]
+            if len(checks) > 1:
+                self._checks[pc] = checks[:at] + checks[at + 1:]
+                self._stages[pc] = stages[:at] + stages[at + 1:]
+            else:
+                del self._checks[pc], self._stages[pc]
+                cleared.append(pc)
+        self._reroute(cleared)
+
+    def watch(self, sites: Iterable[int], on_call: Callable,
+              on_ret: Callable):
+        """Add control probes: ``on_call(pc, target, return_addr)`` after
+        every call's push and ``on_ret(pc, target, sp)`` after every
+        return's pop that the general path executes — step(), the
+        instrumented loop and native returns, which covers all code in
+        writable memory.  Cached code runs on the general path only
+        where probed, so ``sites`` must hold every cached call or
+        return the probes can act on."""
+        self.call_probes.append(on_call)
+        self.ret_probes.append(on_ret)
+        fresh = []
+        for pc in sites:
+            count = self._watched.get(pc, 0)
+            self._watched[pc] = count + 1
+            if not count:
+                fresh.append(pc)
+        self._reroute(fresh)
+
+    def unwatch(self, sites: Iterable[int], on_call: Callable,
+                on_ret: Callable):
+        """Undo one :meth:`watch` with the same arguments."""
+        self.call_probes.remove(on_call)
+        self.ret_probes.remove(on_ret)
+        cleared = []
+        for pc in sites:
+            count = self._watched.pop(pc)
+            if count > 1:
+                self._watched[pc] = count - 1
+            else:
+                cleared.append(pc)
+        self._reroute(cleared)
+
+    def _probed(self, pc: int) -> bool:
+        return pc in self._checks or pc in self._watched
+
+    def _route(self, pc: int):
+        """Point both fast dispatch tables at ``pc``'s cell, or take the
+        pc off them while it is probed (the loops then miss on it and
+        take :meth:`step`).  A live supercell head keeps its entry."""
+        cell = self._cells.get(pc)
+        if cell is None or self._probed(pc):
+            self._plain.pop(pc, None)
+            self._hot.pop(pc, None)
+        else:
+            self._plain[pc] = cell
+            if pc not in self._traces:
+                self._hot[pc] = (cell, 1)
+
+    def _reroute(self, pcs: list[int]):
+        """Re-derive dispatch for ``pcs`` after their probe state changed
+        and re-cut every fusion run through one of them."""
+        if not pcs:
+            return
+        changed = set(pcs)
+        for pc in changed:
+            self._route(pc)
+        for head in [h for h, run in self._runs.items()
+                     if any(pc in changed for pc, _ in run)]:
+            self._cut(head)
 
     def adopt_decoded(self, pcs):
         """Decode (and compile) every pc in ``pcs`` not yet decoded.
@@ -383,8 +529,7 @@ class CPU:
             cell = compile_cell(self, pc, insn)
             if cell is not None:
                 self._cells[pc] = cell
-                if pc not in self._traces:
-                    self._hot[pc] = (cell, 1)
+                self._route(pc)
         return insn
 
     # -- stack -----------------------------------------------------------------
@@ -413,11 +558,12 @@ class CPU:
     def step(self):
         """Execute one instruction (or one native call at a native entry).
 
-        This is the general path: it probes the VSEF table, emits every
+        This is the general path: it runs the pc's probes, emits every
         instrumentation event through the hook sink, and dispatches
-        through the bound-method table.  The batched :meth:`run` only
-        falls back here for natives, syscalls, HALT, writable-memory
-        code, or while a tool is attached.
+        through the bound-method table (whose call/ret handlers feed the
+        control probes).  The batched :meth:`run` only falls back here
+        for natives, syscalls, HALT, writable-memory code and probed
+        pcs, or while a tool listens to per-instruction events.
         """
         self.state_version += 1
         pc = self.pc
@@ -428,8 +574,8 @@ class CPU:
         insn = self._decode_cache.get(pc)
         if insn is None:
             insn = self._decode_at(pc)
-        if self.pre_checks:
-            checks = self.pre_checks.get(pc)
+        if self._checks:
+            checks = self._checks.get(pc)
             if checks:
                 for check in checks:
                     check(self, insn)
@@ -443,14 +589,15 @@ class CPU:
         """Batched execution until a budget is exhausted.
 
         Selects the cheapest inner loop the current deployment allows —
-        fused supercells, plain cells, cells + VSEF probes, or
-        instrumented step() — and re-selects whenever a fallback step
-        changes the deployment.  Armed VSEF checks disable the fused
-        tier entirely: every probe PC must be probed per instruction, so
-        execution falls back to per-cell until the filters are removed.
-        Returns ``"steps"`` or ``"cycles"`` (which budget tripped);
-        faults, syscall blocking and process exit propagate as
-        exceptions.  With no budgets it runs until one of those.
+        fused supercells, plain cells, or instrumented cells — and
+        re-selects whenever a fallback step attaches a tool.  Armed VSEF
+        probes do not change the tier: a probed pc is absent from the
+        fast dispatch tables, so either loop takes that one instruction
+        through :meth:`step`, which runs its probes, and re-derives its
+        budget chunk afterwards (probes may charge cycles).  Returns
+        ``"steps"`` or ``"cycles"`` (which budget tripped); faults,
+        syscall blocking and process exit propagate as exceptions.  With
+        no budgets it runs until one of those.
         """
         self.state_version += 1
         steps_left = max_steps
@@ -459,12 +606,10 @@ class CPU:
         while True:
             if self.hooks.active:
                 return self._run_instrumented(steps_left, cycle_cap)
-            if self.pre_checks:
-                done, reason = self._run_fast(steps_left, cycle_cap, True)
-            elif self.fusion_enabled and self._traces:
+            if self.fusion_enabled and self._traces:
                 done, reason = self._run_fused(steps_left, cycle_cap)
             else:
-                done, reason = self._run_fast(steps_left, cycle_cap, False)
+                done, reason = self._run_plain(steps_left, cycle_cap)
             if reason is not None:
                 return reason
             if steps_left is not None:
@@ -512,22 +657,23 @@ class CPU:
     def _run_fused(self, steps_left: int | None,
                    cycle_cap: int | None) -> tuple[int, str | None]:
         """The fused hot loop: supercells where traces exist, plain
-        cells everywhere else, no VSEF probes, no hook dispatch.
+        cells everywhere else, no hook dispatch; probed pcs miss and
+        take the general path.
 
-        ``_hot`` maps every predecoded pc to ``(fn, k)``; one dict probe
-        dispatches either a single cell (k=1) or a whole straight-line
-        trace (k instructions in one call).  Budgets stay exact: a trace
-        larger than the remaining chunk is executed per-cell instead, so
-        a budget can pause execution mid-trace and resume (possibly on a
-        different tier) from any member pc.  A faulting supercell
-        reports the faulting pc and its uncharged tail cycles through
-        ``_trace_fault``; the ``finally`` below settles both, keeping
-        fault-time state bit-identical to per-cell execution.
+        ``_hot`` maps every unprobed predecoded pc to ``(fn, k)``; one
+        dict probe dispatches either a single cell (k=1) or a whole
+        straight-line trace (k instructions in one call).  Budgets stay
+        exact: a trace larger than the remaining chunk is executed
+        per-cell instead, so a budget can pause execution mid-trace and
+        resume (possibly on a different tier) from any member pc.  A
+        faulting supercell reports the faulting pc and its uncharged
+        tail cycles through ``_trace_fault``; the ``finally`` below
+        settles both, keeping fault-time state bit-identical to
+        per-cell execution.
         """
         hot_get = self._hot.get
         cells_get = self._cells.get
         hooks = self.hooks
-        prechecks = self.pre_checks
         pc = self.pc
         done = 0
         n = 0          # instructions executed since the last flush
@@ -563,8 +709,9 @@ class CPU:
                     done += n
                     n = 0
                     continue
-                # Hot miss: native entry, SYS/HALT, writable-memory or
-                # unmapped code.  Flush and take the general path.
+                # Hot miss: probed pc, native entry, SYS/HALT,
+                # writable-memory or unmapped code.  Flush and take the
+                # general path; the chunk is re-derived after it.
                 self.pc = pc
                 self.cycles += n
                 done += n
@@ -572,7 +719,7 @@ class CPU:
                 self.step()
                 pc = self.pc
                 done += 1
-                if hooks.active or prechecks:
+                if hooks.active:
                     return done, None
         finally:
             fault = self._trace_fault
@@ -584,22 +731,21 @@ class CPU:
                 self.pc = fault[0]
                 self.cycles += n - fault[1]
 
-    def _run_fast(self, steps_left: int | None, cycle_cap: int | None,
-                  checked: bool) -> tuple[int, str | None]:
+    def _run_plain(self, steps_left: int | None, cycle_cap: int | None
+                   ) -> tuple[int, str | None]:
         """The batched hot loop over executable cells.
 
-        Invariant hoisting: no hook dispatch (no tool is attached), and
-        when ``checked`` is false no VSEF probe either.  Cells cost
-        exactly one cycle each, so the cycle budget converts into a pure
-        instruction count per chunk; anything that charges irregular
-        cycles (natives, syscalls, VSEF checks) flushes the chunk and
-        re-derives it.  Returns ``(steps_executed, reason)`` where a
-        ``None`` reason means the caller must re-select loops because a
-        fallback changed the deployment (e.g. a syscall attached a tool).
+        Invariant hoisting: no hook dispatch (no tool listens to
+        per-instruction events) and no probe lookup (probed pcs are
+        absent from ``_plain``).  Cells cost exactly one cycle each, so
+        the cycle budget converts into a pure instruction count per
+        chunk; anything that charges irregular cycles (natives,
+        syscalls, probes) misses, flushes the chunk and re-derives it.
+        Returns ``(steps_executed, reason)`` where a ``None`` reason
+        means the caller must re-select loops because a fallback
+        attached a tool.
         """
-        cells_get = self._cells.get
-        prechecks = self.pre_checks
-        decode_cache = self._decode_cache
+        cells_get = self._plain.get
         hooks = self.hooks
         pc = self.pc
         done = 0
@@ -622,31 +768,6 @@ class CPU:
                     cell = cells_get(pc)
                     if cell is None:
                         break
-                    if checked:
-                        checks = prechecks.get(pc)
-                        if checks:
-                            self.pc = pc
-                            self.cycles += n
-                            done += n
-                            n = 0
-                            insn = decode_cache.get(pc)
-                            for check in checks:
-                                check(self, insn)
-                            if hooks.active:
-                                # A check attached a tool mid-run (PIN
-                                # attach): finish this instruction on
-                                # the instrumented path — the checks
-                                # already ran — then re-select loops.
-                                hk = hooks.sink
-                                hk.ins(pc, insn, self)
-                                self.cycles += 1
-                                self._dispatch[insn.op](pc, insn, hk)
-                                pc = self.pc
-                                done += 1
-                                return done, None
-                            # Checks charge cycles; re-derive the chunk.
-                            chunk = 0
-                            # fall through to execute this cell below
                     n += 1
                     pc = cell(self)
                 else:
@@ -655,8 +776,9 @@ class CPU:
                     done += n
                     n = 0
                     continue
-                # Cell miss: native entry, SYS/HALT, writable-memory or
-                # unmapped code.  Flush and take the general path.
+                # Cell miss: probed pc, native entry, SYS/HALT,
+                # writable-memory or unmapped code.  Flush and take the
+                # general path.
                 self.pc = pc
                 self.cycles += n
                 done += n
@@ -664,7 +786,7 @@ class CPU:
                 self.step()
                 pc = self.pc
                 done += 1
-                if hooks.active or bool(prechecks) != checked:
+                if hooks.active:
                     return done, None
         finally:
             self.pc = pc
@@ -767,6 +889,8 @@ class CPU:
         self.push(next_pc, pc)
         self.known_call_targets.add(target)
         self.control_ring.append(ControlEvent("call", pc, target))
+        for probe in self.call_probes:
+            probe(pc, target, next_pc)
         hk.call(pc, target, next_pc)
         self.pc = target
 
@@ -774,6 +898,8 @@ class CPU:
         sp_before = self.regs[SP]
         target = self.pop(pc)
         self.control_ring.append(ControlEvent("ret", pc, target))
+        for probe in self.ret_probes:
+            probe(pc, target, sp_before)
         hk.ret(pc, target, sp_before)
         self.pc = target
 

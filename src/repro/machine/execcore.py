@@ -7,10 +7,10 @@ function bound, its signed displacement pre-converted and its fall-through
 address precomputed, so executing it is a single call that returns the
 next program counter.  Cells contain **no** instrumentation calls, no
 pre-check probes and no cycle bookkeeping — the batched loop accounts one
-cycle per cell call and only runs cells while no tool or VSEF needs the
-slow path.  This is how the common case ("no deployed analysis") gets
-paper-grade (~0%) instrumentation cost without losing any of it when a
-tool attaches.
+cycle per cell call, runs cells only while no tool needs the slow path,
+and takes probed pcs through the general path instead.  This is how the
+common case ("no deployed analysis") gets paper-grade (~0%)
+instrumentation cost without losing any of it when a tool attaches.
 
 Semantics are bit-for-bit those of :meth:`repro.machine.cpu.CPU.step`:
 identical register/flag/memory updates, identical fault kinds and fault
@@ -511,7 +511,7 @@ def compile_instrumented_cell(cpu, pc: int, insn: Insn):
     """
     dispatch = cpu._dispatch[insn.op]
     hooks = cpu.hooks
-    prechecks = cpu.pre_checks
+    prechecks = cpu._checks
 
     def run(cpu):
         if prechecks:

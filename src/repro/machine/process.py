@@ -239,6 +239,8 @@ class Process:
             sp_before = cpu.regs[SP]
             target = cpu.pop(pc)
             cpu.control_ring.append(ControlEvent("ret", pc, target))
+            for probe in cpu.ret_probes:
+                probe(pc, target, sp_before)
             hk.ret(pc, target, sp_before)
             cpu.cycles += 4
             cpu.pc = target
@@ -345,9 +347,10 @@ class Process:
         """Run until idle/exit/budget; faults propagate to the caller.
 
         Execution is batched: the CPU selects the cheapest inner loop
-        the current deployment allows (plain predecoded cells when no
-        tool or VSEF is live) and runs it until a budget trips or the
-        guest blocks/exits/faults.
+        the current deployment allows (fused or plain predecoded cells
+        unless a tool listens to per-instruction events; VSEF probes
+        only send their own pcs through the general path) and runs it
+        until a budget trips or the guest blocks/exits/faults.
         """
         start = self.cpu.cycles
         try:

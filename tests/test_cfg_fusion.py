@@ -181,7 +181,7 @@ def test_patch_inside_spliced_region_resplits_trace():
 def test_budget_pause_inside_spliced_region_resumes_checked():
     """A step budget pausing inside the spliced-in portion of an
     extended trace must land on the exact next pc (in another block!)
-    and resume on the checked tier when a VSEF check is armed there."""
+    and resume through step() when a VSEF check is armed there."""
     process = Process(assemble(_JMP_CHAIN), seed=6)
     _extended_members(process)
     result = process.run(max_steps=3)           # mov, jmp, part2's add
@@ -190,8 +190,7 @@ def test_budget_pause_inside_spliced_region_resumes_checked():
     jmp_part3 = part2 + 6                       # after 'add r0, 2'
     assert process.cpu.pc == jmp_part3
     hits = []
-    process.cpu.pre_checks[jmp_part3] = [
-        lambda cpu, insn: hits.append(cpu.pc)]
+    process.cpu.arm([jmp_part3], lambda cpu, insn: hits.append(cpu.pc))
     assert process.run(max_steps=100).reason == "exit"
     assert process.cpu.regs[0] == 7
     assert hits == [jmp_part3]

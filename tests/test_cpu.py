@@ -282,7 +282,7 @@ class TestVSEFFastPath:
         def check(cpu, insn):
             raise AttackDetected("vsef-test", second_insn, "blocked")
 
-        process.cpu.pre_checks[second_insn] = [check]
+        process.cpu.arm([second_insn], check)
         with pytest.raises(AttackDetected):
             process.run()
         assert process.cpu.regs[0] == 1      # first insn ran
@@ -294,8 +294,8 @@ class TestVSEFFastPath:
         source = ".text\nmain:\n mov r0, 1\n halt\n"
         process = load_program(source, layout=ReferenceLayout())
         seen = []
-        process.cpu.pre_checks[process.symbols["main"]] = [
-            lambda cpu, insn: seen.append(insn.op.name)]
+        process.cpu.arm([process.symbols["main"]],
+                        lambda cpu, insn: seen.append(insn.op.name))
         process.run()
         assert seen == ["MOVRI"]
 

@@ -1,9 +1,10 @@
 """Differential tests across the CPU's four run-loop tiers.
 
-The batched CPU loop selects among four inner loops: **fused** (trace
-supercells + cells), **plain** (per-instruction cells), **checked**
-(cells + per-PC VSEF probes) and **instrumented** (step() with full
-event emission).  The contract is that the tier is *purely* an
+The batched CPU loop selects among three inner loops: **fused** (trace
+supercells + cells), **plain** (per-instruction cells) and
+**instrumented** (full event emission); a fourth configuration,
+**checked**, arms a VSEF probe, whose pc then leaves the fast tables
+and runs through step().  The contract is that the tier is *purely* an
 implementation detail: registers, flags, memory, cycle counts, the
 control ring and every fault must be bit-identical across all of them.
 These tests run the same guest programs down every tier and diff the
@@ -83,7 +84,7 @@ def _machine_state(process: Process) -> dict:
 
 def _benign_check(cpu, insn):
     """A VSEF probe that fires without charging cycles or touching
-    state: arming it forces the checked run loop."""
+    state: arming it sends its pc through the general path."""
 
 
 def run_differential(source: str, feeds=(), max_steps: int = 500_000,
@@ -96,7 +97,7 @@ def run_differential(source: str, feeds=(), max_steps: int = 500_000,
     plain = Process(image, seed=seed)
     plain.cpu.fusion_enabled = False
     checked = Process(image, seed=seed)
-    checked.cpu.pre_checks[checked.symbols[image.entry]] = [_benign_check]
+    checked.cpu.arm([checked.symbols[image.entry]], _benign_check)
     instrumented = Process(image, seed=seed)
     tool = TouchEverything()
     instrumented.hooks.attach(tool, instrumented)
@@ -337,7 +338,7 @@ def test_tool_attached_from_pre_check_sees_remaining_stream():
         if tool not in process.hooks.tools:
             process.hooks.attach(tool, process)
 
-    process.cpu.pre_checks[first_add] = [check]
+    process.cpu.arm([first_add], check)
     result = process.run(max_steps=1_000)
     assert result.reason == "exit"
     assert process.cpu.regs[0] == 7

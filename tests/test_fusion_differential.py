@@ -7,8 +7,10 @@ balanced stack traffic, self-patching code executed from writable
 memory, and occasional faulting accesses.  Every program is executed
 under three drivers — the fused tier, the plain per-cell tier, and a
 raw ``step()`` loop — through the same schedule of step-budget slices,
-with a benign VSEF check armed and disarmed between slices (so budgets
-can pause execution mid-trace and resume on the checked tier).  At
+with a benign VSEF check armed and disarmed between slices at random
+trace heads, interiors, RET/CALL tails and CFG-spliced members (so
+arming re-splits live traces, disarming re-fuses them, and budgets can
+pause execution mid-trace and resume at a probed pc).  At
 every slice boundary the full architectural state must be bit-identical:
 registers, flags, PC, cycle count, control ring, every memory page, the
 dirty-page bitmap, sent messages, VSEF hit sequences and any fault.
@@ -220,8 +222,9 @@ def _run_slice_stepped(process: Process, max_steps: int):
         return "exit"
 
 
-def _drive(image, seed: int, tier: str, schedule, check_pc: int | None):
-    """Run one process through the slice schedule; return the per-slice
+def _drive(image, seed: int, tier: str, schedule):
+    """Run one process through the slice schedule, arming or disarming
+    the schedule's check pcs before each slice; return the per-slice
     observations (run reason, state snapshot, fault, check hits)."""
     process = Process(image, seed=seed)
     if tier == "plain":
@@ -235,12 +238,11 @@ def _drive(image, seed: int, tier: str, schedule, check_pc: int | None):
 
     observations = []
     dead = False
-    for max_steps, action in schedule:
-        if check_pc is not None:
-            if action == "arm":
-                process.cpu.pre_checks[check_pc] = [check]
-            elif action == "disarm":
-                process.cpu.pre_checks.pop(check_pc, None)
+    for max_steps, action, check_pc in schedule:
+        if action == "arm":
+            process.cpu.arm([check_pc], check)
+        elif action == "disarm":
+            process.cpu.disarm([check_pc], check)
         if dead:
             continue
         reason = fault = None
@@ -255,16 +257,42 @@ def _drive(image, seed: int, tier: str, schedule, check_pc: int | None):
     return observations
 
 
-def _check_pc_inside_trace(image, seed: int) -> int | None:
-    """A pc in the *middle* of some fused trace of a reference process —
-    the interesting place to arm a VSEF check."""
+def _check_pc_groups(image, seed: int) -> list[list[int]]:
+    """The interesting places to arm a VSEF check, from a reference
+    process's fused traces: trace heads, interior members, control
+    transfer tails (RET/CALL), and members spliced in by CFG extension.
+    Empty groups are left out."""
     reference = Process(image, seed=seed)
-    candidates = [members[idx][0]
-                  for _fn, _k, _end, members in reference.cpu._traces.values()
-                  for idx in range(1, len(members))]
-    if not candidates:
-        return None
-    return candidates[len(candidates) // 2]
+    heads, interiors, tails, spliced = [], [], [], []
+    for head, (_fn, _k, _end, members) in reference.cpu._traces.items():
+        heads.append(head)
+        for idx in range(1, len(members)):
+            pc, insn = members[idx]
+            prev_pc, prev_insn = members[idx - 1]
+            if prev_pc + prev_insn.length != pc:
+                spliced.append(pc)
+            elif insn.op in (Op.RET, Op.CALLI, Op.CALLR):
+                tails.append(pc)
+            else:
+                interiors.append(pc)
+    return [group for group in (heads, interiors, tails, spliced) if group]
+
+
+def _arming_schedule(rng: random.Random, groups: list[list[int]]) -> list:
+    """Step-budget slices, each preceded by arming a check at a random
+    pc of a random group or disarming one armed earlier."""
+    schedule = [(rng.randrange(7, 157), None, None)]
+    armed: list[int] = []
+    for _ in range(6):
+        if armed and rng.random() < 0.4:
+            check_pc = armed.pop(rng.randrange(len(armed)))
+            schedule.append((rng.randrange(7, 157), "disarm", check_pc))
+        elif groups:
+            check_pc = rng.choice(rng.choice(groups))
+            armed.append(check_pc)
+            schedule.append((rng.randrange(7, 157), "arm", check_pc))
+    schedule.append((30_000, None, None))
+    return schedule
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -275,18 +303,12 @@ def test_random_programs_bit_identical_across_tiers(seed):
         source = generate_program(rng)
         image = assemble(source)
         proc_seed = seed * 1000 + index
-        check_pc = _check_pc_inside_trace(image, proc_seed)
-        schedule = [
-            (rng.randrange(7, 157), None),
-            (rng.randrange(7, 157), "arm"),
-            (rng.randrange(7, 157), None),
-            (rng.randrange(7, 157), "disarm"),
-            (30_000, None),
-        ]
-        baseline = _drive(image, proc_seed, "fused", schedule, check_pc)
-        fused_traces_seen += 1 if check_pc is not None else 0
+        groups = _check_pc_groups(image, proc_seed)
+        schedule = _arming_schedule(rng, groups)
+        baseline = _drive(image, proc_seed, "fused", schedule)
+        fused_traces_seen += 1 if groups else 0
         for tier in ("plain", "stepped"):
-            other = _drive(image, proc_seed, tier, schedule, check_pc)
+            other = _drive(image, proc_seed, tier, schedule)
             assert other == baseline, \
                 f"seed={seed} program={index} tier={tier} diverged"
     # The generator must actually exercise fusion, not vacuously pass.
@@ -412,7 +434,7 @@ def test_patch_resplits_trace_into_prefix_and_suffix():
 def test_budget_pause_mid_trace_resumes_on_checked_tier():
     """A step budget can pause execution in the middle of a fused trace;
     a VSEF check armed at the next pc must fire when execution resumes
-    (per-cell, on the checked loop)."""
+    (arming re-splits the trace, so the pc runs through step())."""
     source = (".text\nmain:\n mov r0, 0\n add r0, 1\n add r0, 2\n"
               " add r0, 4\n add r0, 8\n halt\n")
     process = Process(assemble(source), seed=0)
@@ -420,8 +442,7 @@ def test_budget_pause_mid_trace_resumes_on_checked_tier():
     result = process.run(max_steps=3)           # pauses inside the trace
     assert result.reason == "steps"
     hits = []
-    process.cpu.pre_checks[process.cpu.pc] = [
-        lambda cpu, insn: hits.append(cpu.pc)]
+    process.cpu.arm([process.cpu.pc], lambda cpu, insn: hits.append(cpu.pc))
     result = process.run(max_steps=1_000)
     assert result.reason == "exit"
     assert process.cpu.regs[0] == 15
