@@ -23,7 +23,8 @@ native + application caller), from which the improved VSEF is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from repro.antibody.vsef import VSEF, CodeLoc, loc_for_address
 from repro.instrument.hooks import Tool
@@ -62,6 +63,77 @@ class _LiveBlock:
         return self.payload + self.size
 
 
+class _BlockMap:
+    """Heap blocks by payload, in insertion order, indexed for lookup.
+
+    ``blocks`` keeps the insertion order the detector's verdicts are
+    defined by: the block covering an access is the *first* one, in
+    that order, that the access starts inside.  A sorted index of
+    payloads and ends answers that with one bisection while the blocks
+    are disjoint, which is every clean heap; ``_overlaps`` counts the
+    adjacent index pairs that overlap (a corrupted heap can hand out
+    blocks that do), and while any does, lookups fall back to the
+    ordered scan.
+    """
+
+    def __init__(self, blocks=()):
+        self.blocks: dict[int, _LiveBlock] = {}
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._overlaps = 0
+        for block in blocks:
+            self.add(block)
+
+    def _overlap(self, left: int, right: int) -> int:
+        """1 if index entries ``left`` and ``right`` overlap, else 0."""
+        if left < 0 or right >= len(self._starts):
+            return 0
+        return 1 if self._ends[left] > self._starts[right] else 0
+
+    def add(self, block: _LiveBlock):
+        """Add ``block``; one already at its payload is replaced in place
+        (a dict keeps the key's insertion position)."""
+        payload = block.payload
+        if payload in self.blocks:
+            self._unindex(payload)
+        at = bisect_left(self._starts, payload)
+        self._overlaps -= self._overlap(at - 1, at)
+        self._starts.insert(at, payload)
+        self._ends.insert(at, block.end)
+        self._overlaps += self._overlap(at - 1, at) + self._overlap(at, at + 1)
+        self.blocks[payload] = block
+
+    def pop(self, payload: int) -> _LiveBlock | None:
+        block = self.blocks.pop(payload, None)
+        if block is not None:
+            self._unindex(payload)
+        return block
+
+    def _unindex(self, payload: int):
+        at = bisect_left(self._starts, payload)
+        self._overlaps -= self._overlap(at - 1, at) + self._overlap(at, at + 1)
+        del self._starts[at], self._ends[at]
+        self._overlaps += self._overlap(at - 1, at)
+
+    def covering(self, addr: int, size: int) -> _LiveBlock | None:
+        """The first block, in insertion order, that ``[addr, addr +
+        size)`` lies in or starts inside."""
+        if self._overlaps or size <= 0:
+            for block in self.blocks.values():
+                if block.payload <= addr and addr + size <= block.end:
+                    return block
+                if block.payload <= addr < block.end:
+                    return block    # starts inside: overflow checks use end
+            return None
+        # Disjoint blocks: only the last one starting at or below
+        # ``addr`` can hold it, and a nonempty access starting inside a
+        # block satisfies both of the scan's conditions.
+        at = bisect_right(self._starts, addr) - 1
+        if at >= 0 and addr < self._ends[at]:
+            return self.blocks[self._starts[at]]
+        return None
+
+
 class MemoryBugDetector(Tool):
     """The attachable memory-bug detection tool."""
 
@@ -75,8 +147,8 @@ class MemoryBugDetector(Tool):
         self.max_reports = max_reports
         self.reports: list[MemBugReport] = []
         self.process = None
-        self._live: dict[int, _LiveBlock] = {}
-        self._freed: dict[int, _LiveBlock] = {}
+        self._live = _BlockMap()
+        self._freed = _BlockMap()
         self._ret_slots: dict[int, tuple[int, str | None]] = {}
         self._call_stack: list[tuple[int, int]] = []   # (call_pc, target)
         self._heap_region = None
@@ -92,8 +164,8 @@ class MemoryBugDetector(Tool):
         self._heap_region = process.memory.region_named("heap")
         self._stack_region = process.memory.region_named("stack")
         self._lib_addrs = set(process.native_addresses.values())
-        self._live = {block.payload: _LiveBlock(block.payload, block.size)
-                      for block in process.allocator.live_blocks()}
+        self._live = _BlockMap(_LiveBlock(block.payload, block.size)
+                               for block in process.allocator.live_blocks())
         self._seed_stack_frames(process)
 
     def _seed_stack_frames(self, process):
@@ -135,18 +207,18 @@ class MemoryBugDetector(Tool):
 
     def on_malloc(self, pc, payload, size):
         if payload:
-            self._freed.pop(payload, None)
-            self._live[payload] = _LiveBlock(payload, size)
+            self._freed.pop(payload)
+            self._live.add(_LiveBlock(payload, size))
 
     def on_free(self, pc, payload):
         if payload == 0:
             return
-        block = self._live.pop(payload, None)
+        block = self._live.pop(payload)
         if block is None:
             self._report("double_free", pc, payload,
                          detail="free() of a block that is not live")
         else:
-            self._freed[payload] = block
+            self._freed.add(block)
 
     # -- memory accesses ----------------------------------------------------------
 
@@ -181,15 +253,14 @@ class MemoryBugDetector(Tool):
         if self._in_heap(addr):
             if self._heap_region.start <= addr < self._heap_region.start + 16:
                 return  # arena header is allocator-private
-            block = self._block_covering(addr, size, self._live)
+            block = self._live.covering(addr, size)
             if block is not None:
                 if addr + size > block.end:
                     self._report("heap_overflow", pc, addr,
                                  detail=f"write past block "
                                         f"[{block.payload:#x},{block.end:#x})")
                 return
-            freed = self._block_covering(addr, size, self._freed)
-            if freed is not None:
+            if self._freed.covering(addr, size) is not None:
                 self._report("dangling_write", pc, addr,
                              detail="write to freed block")
                 return
@@ -200,19 +271,11 @@ class MemoryBugDetector(Tool):
     def _check_read(self, pc, addr, size):
         if not self._in_heap(addr):
             return
-        if self._block_covering(addr, size, self._live) is not None:
+        if self._live.covering(addr, size) is not None:
             return
-        if self._block_covering(addr, size, self._freed) is not None:
+        if self._freed.covering(addr, size) is not None:
             self._report("dangling_read", pc, addr,
                          detail="read from freed block")
-
-    def _block_covering(self, addr, size, table) -> _LiveBlock | None:
-        for block in table.values():
-            if block.payload <= addr and addr + size <= block.end:
-                return block
-            if block.payload <= addr < block.end:
-                return block    # starts inside: overflow checks use end
-        return None
 
     # -- reporting ----------------------------------------------------------------
 

@@ -155,7 +155,8 @@ class HookManager:
     """Dispatches CPU events to attached tools.
 
     Keeps one pre-computed callback list per event so an attached tool
-    that only hooks a few events stays cheap, and exposes ``sink`` — the
+    that only hooks a few events stays cheap (an event with a sole
+    listener dispatches straight to it), and exposes ``sink`` — the
     manager itself while any listener is live, the shared
     :data:`NULL_SINK` otherwise — so emitters need no ``active`` branch.
     ``active`` is true while any *tier* event has a listener.  Besides
@@ -169,6 +170,12 @@ class HookManager:
         #: Bare boundary-event callbacks: event -> callbacks.
         self._bare: dict[str, list] = {name: [] for name in BOUNDARY_EVENTS}
         self.active = False
+        #: The tier events some listener hears.
+        self.heard: frozenset[str] = frozenset()
+        #: Bumped whenever the listener set changes, so code compiled
+        #: against :attr:`heard` (the CPU's instrumented cells) can tell
+        #: it is stale.
+        self.version = 0
         #: Where the machine layer sends events: ``self`` when any tool
         #: listens, the shared null object when none does.
         self.sink: "HookManager | NullSink" = NULL_SINK
@@ -201,10 +208,22 @@ class HookManager:
         base = Tool
         for event in _EVENTS:
             method = f"on_{event}"
-            self._listeners[event] = self._bare.get(event, []) + [
+            fns = self._bare.get(event, []) + [
                 getattr(tool, method) for tool in self.tools
                 if getattr(type(tool), method) is not getattr(base, method)]
-        self.active = any(self._listeners[event] for event in TIER_EVENTS)
+            self._listeners[event] = fns
+            # Dispatch straight to a sole listener (or to the null sink's
+            # no-op): an instance attribute shadows the looping method.
+            if len(fns) == 1:
+                self.__dict__[event] = fns[0]
+            elif not fns:
+                self.__dict__[event] = getattr(NULL_SINK, event)
+            else:
+                self.__dict__.pop(event, None)
+        self.heard = frozenset(event for event in TIER_EVENTS
+                               if self._listeners[event])
+        self.active = bool(self.heard)
+        self.version += 1
         live = any(self._listeners[event] for event in _EVENTS)
         self.sink = self if live else NULL_SINK
 
@@ -221,7 +240,8 @@ class HookManager:
             factor *= max(tool.overhead_factor, 1.0)
         return factor
 
-    # -- dispatchers (one per event, kept branch-free and minimal) ---------
+    # -- dispatchers (one per event, kept branch-free and minimal; an
+    # event with one listener or none never reaches these) ---------------
 
     def ins(self, pc, insn, cpu):
         for fn in self._listeners["ins"]:

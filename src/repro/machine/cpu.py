@@ -152,10 +152,13 @@ class CPU:
         #: The plain loop's dispatch table: ``_cells`` minus probed pcs.
         self._plain: dict[int, Callable] = {}
         #: Instrumented-form cells, compiled lazily by the analysis-mode
-        #: loop (:meth:`_run_instrumented`): pc -> closure replicating
-        #: the full ``step()`` event contract with the per-step lookups
-        #: hoisted.  Invalidated together with ``_decode_cache``.
+        #: loop (:meth:`_run_instrumented`): pc -> closure emitting the
+        #: ``step()`` events some listener hears.  Invalidated together
+        #: with ``_decode_cache``, per pc when its probes change, and
+        #: wholesale when the listener set does: ``_icells_version`` is
+        #: the hook manager's ``version`` they were compiled against.
         self._icells: dict[int, Callable] = {}
+        self._icells_version = -1
         #: Fused traces: head pc -> (supercell, insn count, end address,
         #: member (pc, insn) tuple).  Members are kept so invalidation
         #: can re-split a partially stale trace.
@@ -480,7 +483,10 @@ class CPU:
     def _route(self, pc: int):
         """Point both fast dispatch tables at ``pc``'s cell, or take the
         pc off them while it is probed (the loops then miss on it and
-        take :meth:`step`).  A live supercell head keeps its entry."""
+        take :meth:`step`).  A live supercell head keeps its entry.
+        The pc's instrumented cell is dropped: its form depends on
+        whether the pc is probed."""
+        self._icells.pop(pc, None)
         cell = self._cells.get(pc)
         if cell is None or self._probed(pc):
             self._plain.pop(pc, None)
@@ -624,15 +630,19 @@ class CPU:
         decode-cached read-only code runs through lazily compiled
         *instrumented cells* (:func:`compile_instrumented_cell`) that
         hoist those lookups while emitting the identical event stream —
-        so an analysis-mode guest costs closer to the fast tier than to
-        the interpreter.  Natives and writable-memory code still take
-        ``step()``, which is also what first decodes a pc into the
-        cache so its icell can be built on the next visit.
+        and an unprobed instruction whose operand and control events no
+        listener hears runs its plain cell — so an analysis-mode guest
+        costs closer to the fast tier than to the interpreter.  Natives
+        and writable-memory code still take ``step()``, which is also
+        what first decodes a pc into the cache so its icell can be built
+        on the next visit.
         """
         icells_get = self._icells.get
         icells = self._icells
         decode_get = self._decode_cache.get
         native_entries = self.native_entries
+        hooks = self.hooks
+        version = self._icells_version
         step = self.step
         done = 0
         while True:
@@ -640,6 +650,11 @@ class CPU:
                 return "cycles"
             if steps_left is not None and done >= steps_left:
                 return "steps"
+            if hooks.version != version:
+                # A tool attached or detached (possibly from inside the
+                # last cell): recompile against the new listener set.
+                icells.clear()
+                version = self._icells_version = hooks.version
             pc = self.pc
             cell = icells_get(pc)
             if cell is not None:
@@ -832,7 +847,7 @@ class CPU:
     def _op_load(self, pc: int, insn: Insn, hk):
         rd, base, disp = insn.operands
         addr = to_unsigned(self.regs[base] + to_signed(disp))
-        size = 4 if insn.op == Op.LDW else 1
+        size = 4 if insn.op == _LDW else 1
         try:
             raw = self.memory.read(addr, size)
         except VMFault as fault:
@@ -846,7 +861,7 @@ class CPU:
     def _op_store(self, pc: int, insn: Insn, hk):
         base, disp, rs = insn.operands
         addr = to_unsigned(self.regs[base] + to_signed(disp))
-        size = 4 if insn.op == Op.STW else 1
+        size = 4 if insn.op == _STW else 1
         data = (self.regs[rs] & (0xFFFFFFFF if size == 4 else 0xFF)
                 ).to_bytes(size, "little")
         try:
@@ -858,7 +873,7 @@ class CPU:
 
     def _op_cmp(self, pc: int, insn: Insn, hk):
         a = self.regs[insn.operands[0]]
-        b = self.regs[insn.operands[1]] if insn.op == Op.CMPRR \
+        b = self.regs[insn.operands[1]] if insn.op == _CMPRR \
             else insn.operands[1]
         self.zf = a == b
         self.sf = to_signed(a) < to_signed(b)
@@ -866,7 +881,7 @@ class CPU:
         self.pc = pc + insn.length
 
     def _op_jmp(self, pc: int, insn: Insn, hk):
-        target = insn.operands[0] if insn.op == Op.JMPI \
+        target = insn.operands[0] if insn.op == _JMPI \
             else self.regs[insn.operands[0]]
         self.control_ring.append(ControlEvent("branch", pc, target))
         hk.branch(pc, target, True)
@@ -884,7 +899,7 @@ class CPU:
 
     def _op_call(self, pc: int, insn: Insn, hk):
         next_pc = pc + insn.length
-        target = insn.operands[0] if insn.op == Op.CALLI \
+        target = insn.operands[0] if insn.op == _CALLI \
             else self.regs[insn.operands[0]]
         self.push(next_pc, pc)
         self.known_call_targets.add(target)
@@ -904,7 +919,7 @@ class CPU:
         self.pc = target
 
     def _op_push(self, pc: int, insn: Insn, hk):
-        value = self.regs[insn.operands[0]] if insn.op == Op.PUSHR \
+        value = self.regs[insn.operands[0]] if insn.op == _PUSHR \
             else insn.operands[0]
         self.push(value, pc)
         self.pc = pc + insn.length
@@ -933,6 +948,11 @@ class CPU:
 
 #: ALU opcode -> semantic callable (shared with the execution cells).
 _ALU_BY_OP = {op: ALU_FUNCS[name] for op, name in ALU_OPS.items()}
+
+#: Opcodes the general-path handlers test for, bound once: reading a
+#: member off ``Op`` is an enum attribute lookup on every call.
+_LDW, _STW, _CMPRR, _JMPI, _CALLI, _PUSHR = (
+    Op.LDW, Op.STW, Op.CMPRR, Op.JMPI, Op.CALLI, Op.PUSHR)
 
 _BIG = 1 << 62
 

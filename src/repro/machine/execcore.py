@@ -29,9 +29,10 @@ from typing import Callable
 
 from repro.errors import FAULT_DIVZERO, VMFault
 from repro.isa.encoding import Insn
+from repro.instrument.hooks import TIER_EVENTS
 from repro.isa.opcodes import (ALU_FUNCS, ALU_OPS, CONTROL_TRANSFER_OPS,
-                               OP_SIGNATURES, PREDICATE_FUNCS, SP, Op,
-                               to_signed)
+                               OP_SIGNATURES, PREDICATE_FUNCS, RUNTIME_OPS,
+                               SP, Op, to_signed)
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, u32_get, u32_put
 
 WORD_MASK = 0xFFFFFFFF
@@ -487,40 +488,104 @@ def _popr(cpu, pc, insn):
 COMPILABLE_OPS = frozenset(_FACTORIES)
 
 
+#: The tier events the general path emits for each opcode (see the
+#: ``_op_*`` handlers in :mod:`repro.machine.cpu`): ``ins`` for every
+#: one, plus its operand and control events.  A syscall may emit any of
+#: them; SYS and HALT have no plain cell anyway.
+EMITTED_EVENTS: dict[Op, frozenset[str]] = {}
+_INS_ONLY = frozenset(("ins",))
+for _op in OP_SIGNATURES:
+    if _op in RUNTIME_OPS:
+        _extra = TIER_EVENTS
+    elif _op in ALU_OPS or _op in (Op.MOVRR, Op.MOVRI):
+        _extra = ("reg_write",)
+    elif _op in (Op.LDW, Op.LDB, Op.POPR):
+        _extra = ("mem_read", "reg_write")
+    elif _op in (Op.STW, Op.STB, Op.PUSHR, Op.PUSHI):
+        _extra = ("mem_write",)
+    elif _op in PREDICATE_FUNCS or _op in (Op.JMPI, Op.JMPR):
+        _extra = ("branch",)
+    elif _op in (Op.CALLI, Op.CALLR):
+        _extra = ("mem_write", "call")
+    elif _op is Op.RET:
+        _extra = ("mem_read", "ret")
+    else:                                 # CMP, NOP
+        _extra = ()
+    EMITTED_EVENTS[_op] = frozenset(("ins",) + _extra)
+
+
 def compile_instrumented_cell(cpu, pc: int, insn: Insn):
     """Compile the *instrumented* form of ``insn`` at ``pc``.
 
-    The analysis-mode counterpart of :func:`compile_cell`: where plain
-    cells strip every hook call, an instrumented cell keeps the full
-    ``step()`` event contract — the VSEF pre-check probe, the ``ins``
-    event, the one-cycle charge and the general-path dispatch (whose
-    handlers emit the per-operand ``mem_*``/``reg_write``/control
-    events) — but hoists the per-step lookups ``step()`` repeats every
-    instruction: the native-entry probe (instrumented cells exist only
-    for decode-cached read-only code, which native entries never are),
-    the decode-cache probe and the dispatch-table lookup.  Tools
-    observe a bit-identical event stream; only the per-instruction
-    dispatch overhead shrinks.
+    The analysis-mode counterpart of :func:`compile_cell`, selected per
+    instruction at compile time as PIN selects its instrumentation:
 
-    The closure captures the hook *manager* and the pre-check table by
-    identity and re-reads ``hooks.sink``/the pc's check list every
-    execution, so tools attaching or detaching and filters arming or
-    disarming mid-run behave exactly as on the step() path.  Unlike
-    plain cells, SYS and HALT compile too — their general-path handlers
+    - when no current listener hears any event the opcode emits
+      (:data:`EMITTED_EVENTS`) but ``ins``, and the pc is not probed,
+      the cell is the pc's *plain* cell, wrapped to emit ``ins`` if
+      that is heard, charge the cycle and set ``pc`` — the operand and
+      control events would reach nobody;
+    - otherwise it keeps the full ``step()`` event contract — the probe
+      run, the ``ins`` event, the one-cycle charge and the general-path
+      dispatch (whose handlers emit the per-operand
+      ``mem_*``/``reg_write``/control events) — but hoists the per-step
+      lookups ``step()`` repeats every instruction: the native-entry
+      probe (instrumented cells exist only for decode-cached read-only
+      code, which native entries never are), the decode-cache probe and
+      the dispatch-table lookup.
+
+    Tools observe a bit-identical event stream either way.  A cell's
+    form depends on the listener set and on the probe table, so the CPU
+    drops its instrumented cells when either changes (the hook
+    manager's ``version``, :meth:`~repro.machine.cpu.CPU._route`), and
+    a full cell binds the sink at compile time.  Only at a probed pc
+    does it re-read the pc's check list and then ``hooks.sink`` every
+    execution: more checks may be armed there, and a check may attach a
+    tool that must hear the rest of the instruction.  Unlike plain
+    cells, SYS and HALT compile too — their general-path handlers
     re-enter the runtime just as step() would.
     """
-    dispatch = cpu._dispatch[insn.op]
     hooks = cpu.hooks
-    prechecks = cpu._checks
+    heard = EMITTED_EVENTS[insn.op] & hooks.heard
+    plain = cpu._plain.get(pc)
+    if plain is not None and heard <= _INS_ONLY:
+        if not heard:
+            def quiet(cpu):
+                cpu.cycles += 1
+                cpu.pc = plain(cpu)
 
-    def run(cpu):
-        if prechecks:
+            return quiet
+        ins = hooks.sink.ins
+
+        def announced(cpu):
+            ins(pc, insn, cpu)
+            cpu.cycles += 1
+            cpu.pc = plain(cpu)
+
+        return announced
+
+    dispatch = cpu._dispatch[insn.op]
+    prechecks = cpu._checks
+    if pc in prechecks:
+        def probed(cpu):
             checks = prechecks.get(pc)
             if checks:
                 for check in checks:
                     check(cpu, insn)
-        hk = hooks.sink
-        hk.ins(pc, insn, cpu)
+            hk = hooks.sink
+            hk.ins(pc, insn, cpu)
+            cpu.cycles += 1
+            dispatch(pc, insn, hk)
+
+        return probed
+
+    # Unprobed: nothing can change the sink between the loop's version
+    # check and this cell's events, so it is bound now.
+    hk = hooks.sink
+    ins = hk.ins
+
+    def run(cpu):
+        ins(pc, insn, cpu)
         cpu.cycles += 1
         dispatch(pc, insn, hk)
 
